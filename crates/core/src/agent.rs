@@ -186,8 +186,7 @@ impl Agent {
             action_counts: self.action_counts.clone(),
             transitions: self
                 .transitions
-                .records()
-                .into_iter()
+                .iter_records()
                 .map(|(s, a, next, count)| TransitionRecord {
                     state: s as u32,
                     action: a as u32,
@@ -205,8 +204,17 @@ impl Agent {
     /// # Errors
     ///
     /// [`SnapshotError::ShapeMismatch`] if the snapshot's kind, state
-    /// count or action count differ from this agent's.
+    /// count or action count differ from this agent's; the agent is then
+    /// left untouched.
     pub fn restore_snapshot(&mut self, snap: &AgentSnapshot) -> Result<(), SnapshotError> {
+        self.check_snapshot(snap)?;
+        self.load_snapshot(snap);
+        Ok(())
+    }
+
+    /// Checks that [`Agent::restore_snapshot`] would accept `snap`,
+    /// without changing anything.
+    pub(crate) fn check_snapshot(&self, snap: &AgentSnapshot) -> Result<(), SnapshotError> {
         if snap.kind != self.kind {
             return Err(SnapshotError::ShapeMismatch("agent kind differs"));
         }
@@ -226,18 +234,15 @@ impl Agent {
         }) {
             return Err(SnapshotError::ShapeMismatch("transition out of range"));
         }
+        Ok(())
+    }
+
+    /// The writing half of [`Agent::restore_snapshot`], for a snapshot
+    /// that already passed [`Agent::check_snapshot`].
+    pub(crate) fn load_snapshot(&mut self, snap: &AgentSnapshot) {
         self.q.load_values(&snap.q);
         self.action_counts.copy_from_slice(&snap.action_counts);
-        self.transitions.clear();
-        for t in &snap.transitions {
-            self.transitions.record_many(
-                t.state as usize,
-                t.action as usize,
-                t.next_state as usize,
-                t.count,
-            );
-        }
-        Ok(())
+        self.transitions.load_records(&snap.transitions);
     }
 
     /// Number of states whose phase is at least `phase` among those visited

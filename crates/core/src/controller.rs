@@ -314,7 +314,8 @@ impl MamutController {
         w.into_bytes()
     }
 
-    /// Decodes what [`MamutController::encode_private`] wrote.
+    /// Decodes what [`MamutController::encode_private`] wrote. Nothing is
+    /// written unless the whole section decodes.
     fn restore_private(&mut self, extra: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapshotReader::new(extra);
         let mut rng_state = [0u64; 4];
@@ -434,11 +435,11 @@ impl Controller for MamutController {
         if snapshot.agents.len() != self.agents.len() {
             return Err(SnapshotError::ShapeMismatch("agent count differs"));
         }
-        // Validate every table before mutating anything, so a failed
-        // restore leaves the controller untouched.
-        let mut staged = self.agents.clone();
-        for (agent, snap) in staged.iter_mut().zip(&snapshot.agents) {
-            agent.restore_snapshot(snap)?;
+        // Validate every table, and decode the private section, before
+        // mutating anything, so a failed restore leaves the controller
+        // untouched.
+        for (agent, snap) in self.agents.iter().zip(&snapshot.agents) {
+            agent.check_snapshot(snap)?;
         }
         if snapshot.extra.is_empty() {
             // Knowledge-only snapshot (e.g. from a fleet store): adopt
@@ -457,7 +458,9 @@ impl Controller for MamutController {
             self.exploration_decisions = snapshot.exploration_decisions;
             self.exploitation_decisions = snapshot.exploitation_decisions;
         }
-        self.agents = staged;
+        for (agent, snap) in self.agents.iter_mut().zip(&snapshot.agents) {
+            agent.load_snapshot(snap);
+        }
         self.knobs = snapshot.knobs;
         Ok(())
     }
@@ -728,5 +731,24 @@ mod tests {
         // A failed restore must leave the controller fully usable.
         let c = Constraints::paper_defaults();
         assert!(ctl.begin_frame(0, &obs(24.0), &c).is_some());
+    }
+
+    #[test]
+    fn failed_restore_leaves_the_controller_untouched() {
+        let mut ctl = MamutController::new(MamutConfig::paper_hr().with_seed(4)).unwrap();
+        run_frames(&mut ctl, 0..600, 24.5);
+        let before = Controller::snapshot(&ctl).to_bytes();
+        let mut other = MamutController::new(MamutConfig::paper_hr().with_seed(8)).unwrap();
+        run_frames(&mut other, 0..900, 23.0);
+        // Valid tables but a private section cut short: the tables pass
+        // their checks, the private section fails to decode.
+        let mut bad = Controller::snapshot(&other);
+        bad.extra.pop();
+        assert!(ctl.restore(&bad).is_err());
+        // A table out of range, after a valid one.
+        let mut bad = Controller::snapshot(&other);
+        bad.agents[2].transitions[0].next_state = STATE_COUNT as u32;
+        assert!(ctl.restore(&bad).is_err());
+        assert_eq!(Controller::snapshot(&ctl).to_bytes(), before);
     }
 }

@@ -29,6 +29,7 @@
 //! only*, leaving the receiving controller's own RNG stream and in-flight
 //! bookkeeping untouched — that is the warm-start path.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::{AgentKind, KnobSettings};
@@ -255,10 +256,17 @@ impl PolicySnapshot {
             for &c in &agent.action_counts {
                 w.put_u32(c);
             }
-            let mut records = agent.transitions.clone();
-            records.sort_unstable();
+            // Controllers hand over records already in canonical order;
+            // only hand-built snapshots pay for a sorted copy.
+            let records = if agent.transitions.is_sorted() {
+                Cow::Borrowed(&agent.transitions[..])
+            } else {
+                let mut copy = agent.transitions.clone();
+                copy.sort_unstable();
+                Cow::Owned(copy)
+            };
             w.put_u32(records.len() as u32);
-            for t in &records {
+            for t in records.iter() {
                 w.put_u32(t.state);
                 w.put_u32(t.action);
                 w.put_u32(t.next_state);

@@ -53,8 +53,8 @@
 //!
 //! See `examples/` for multi-user scenarios, live constraint changes and
 //! controller comparisons, and `crates/bench/benches/` for the scripts
-//! that regenerate every table and figure of the paper (`DESIGN.md` §4
-//! maps them; `EXPERIMENTS.md` records paper-vs-measured values).
+//! that regenerate every table and figure of the paper
+//! (`docs/ARCHITECTURE.md` maps the crates and layers behind them).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
