@@ -332,15 +332,11 @@ impl Controller for MonoAgentController {
         let [table] = snapshot.agents.as_slice() else {
             return Err(SnapshotError::ShapeMismatch("expected one joint agent"));
         };
-        let mut staged = self.agent.clone();
-        staged.restore_snapshot(table)?;
-        if snapshot.extra.is_empty() {
-            // Knowledge-only restore: fresh execution state, zeroed
-            // decision counters (they count this controller's own
-            // decisions — see `MamutController::restore`).
-            self.pending = None;
-            self.exploration_decisions = 0;
-            self.exploitation_decisions = 0;
+        // Decode the private section into locals first, then let the
+        // agent check its table before it writes: a failed restore leaves
+        // the controller untouched without staging a copy of the agent.
+        let execution = if snapshot.extra.is_empty() {
+            None
         } else {
             let mut r = SnapshotReader::new(&snapshot.extra);
             let mut rng_state = [0u64; 4];
@@ -368,12 +364,25 @@ impl Controller for MonoAgentController {
                 None
             };
             r.expect_end()?;
-            self.pending = pending;
-            self.rng = StdRng::from_state(rng_state);
-            self.exploration_decisions = snapshot.exploration_decisions;
-            self.exploitation_decisions = snapshot.exploitation_decisions;
+            Some((rng_state, pending))
+        };
+        self.agent.restore_snapshot(table)?;
+        match execution {
+            Some((rng_state, pending)) => {
+                self.pending = pending;
+                self.rng = StdRng::from_state(rng_state);
+                self.exploration_decisions = snapshot.exploration_decisions;
+                self.exploitation_decisions = snapshot.exploitation_decisions;
+            }
+            None => {
+                // Knowledge-only restore: fresh execution state, zeroed
+                // decision counters (they count this controller's own
+                // decisions — see `MamutController::restore`).
+                self.pending = None;
+                self.exploration_decisions = 0;
+                self.exploitation_decisions = 0;
+            }
         }
-        self.agent = staged;
         self.knobs = snapshot.knobs;
         Ok(())
     }
@@ -538,5 +547,33 @@ mod tests {
         let mut snap = Controller::snapshot(&ctl);
         snap.controller = "mamut".into();
         assert!(ctl.restore(&snap).is_err());
+    }
+
+    #[test]
+    fn failed_restore_leaves_the_controller_untouched() {
+        let c = Constraints::paper_defaults();
+        let drive = |ctl: &mut MonoAgentController, frames: std::ops::Range<u64>, fps: f64| {
+            for f in frames {
+                ctl.begin_frame(f, &obs(fps), &c);
+                ctl.end_frame(f, &obs(fps), &c);
+            }
+        };
+        let mut ctl = MonoAgentController::new(MonoAgentConfig::paper_hr().with_seed(4)).unwrap();
+        drive(&mut ctl, 0..600, 24.5);
+        let before = Controller::snapshot(&ctl).to_bytes();
+        let mut other = MonoAgentController::new(MonoAgentConfig::paper_hr().with_seed(8)).unwrap();
+        drive(&mut other, 0..900, 23.0);
+        // A valid table but a private section cut short.
+        let mut bad = Controller::snapshot(&other);
+        bad.extra.pop();
+        assert!(ctl.restore(&bad).is_err());
+        // A valid private section but a table out of range.
+        let mut bad = Controller::snapshot(&other);
+        bad.agents[0].transitions[0].next_state = STATE_COUNT as u32;
+        assert!(ctl.restore(&bad).is_err());
+        // The same bad table in a knowledge-only snapshot.
+        bad.extra.clear();
+        assert!(ctl.restore(&bad).is_err());
+        assert_eq!(Controller::snapshot(&ctl).to_bytes(), before);
     }
 }

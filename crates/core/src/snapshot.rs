@@ -236,9 +236,7 @@ impl PolicySnapshot {
     /// sorted order, so encode → decode → encode round-trips to the very
     /// same bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        w.buf.extend_from_slice(MAGIC);
-        w.put_u16(SNAPSHOT_VERSION);
+        let mut w = SnapshotWriter::with_header(MAGIC, SNAPSHOT_VERSION);
         w.put_str(&self.controller);
         w.put_u8(self.knobs.qp);
         w.put_u32(self.knobs.threads);
@@ -285,14 +283,7 @@ impl PolicySnapshot {
     /// [`SnapshotError::Truncated`] or [`SnapshotError::Corrupt`] for a
     /// stream this codec cannot accept.
     pub fn from_bytes(bytes: &[u8]) -> Result<PolicySnapshot, SnapshotError> {
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let mut r = SnapshotReader::new(&bytes[MAGIC.len()..]);
-        let version = r.get_u16()?;
-        if version > SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
+        let (mut r, _) = SnapshotReader::open(bytes, MAGIC, SNAPSHOT_VERSION)?;
         let controller = r.get_str()?;
         let knobs = KnobSettings::new(r.get_u8()?, r.get_u32()?, r.get_f64()?);
         // The knob vector is actuated verbatim by whoever restores this
@@ -304,8 +295,10 @@ impl PolicySnapshot {
         }
         let exploration_decisions = r.get_u64()?;
         let exploitation_decisions = r.get_u64()?;
-        let n_agents = r.get_u32()?;
-        let mut agents = Vec::with_capacity(n_agents.min(8) as usize);
+        // An agent takes at least its kind byte, two dimensions and a
+        // record count.
+        let n_agents = r.get_count(1 + 4 + 4 + 4)?;
+        let mut agents = Vec::with_capacity(n_agents);
         for _ in 0..n_agents {
             let kind = agent_kind_from_code(r.get_u8()?)?;
             let n_states = r.get_u32()?;
@@ -316,25 +309,18 @@ impl PolicySnapshot {
             // Crafted or damaged dimension fields must not drive huge
             // preallocations: every q cell costs 8 encoded bytes, so a
             // claimed size beyond the remaining input is a truncation.
-            if cells > r.remaining() / 8 {
-                return Err(SnapshotError::Truncated);
-            }
+            r.expect_items(cells, 8)?;
             let mut q = Vec::with_capacity(cells);
             for _ in 0..cells {
                 q.push(r.get_f64()?);
             }
-            if n_actions as usize > r.remaining() / 4 {
-                return Err(SnapshotError::Truncated);
-            }
+            r.expect_items(n_actions as usize, 4)?;
             let mut action_counts = Vec::with_capacity(n_actions as usize);
             for _ in 0..n_actions {
                 action_counts.push(r.get_u32()?);
             }
-            let n_records = r.get_u32()?;
-            if n_records as usize > r.remaining() / 16 {
-                return Err(SnapshotError::Truncated);
-            }
-            let mut transitions = Vec::with_capacity(n_records as usize);
+            let n_records = r.get_count(16)?;
+            let mut transitions = Vec::with_capacity(n_records);
             for _ in 0..n_records {
                 transitions.push(TransitionRecord {
                     state: r.get_u32()?,
@@ -414,6 +400,16 @@ impl SnapshotWriter {
         SnapshotWriter::default()
     }
 
+    /// Creates a writer whose output opens with the frame every
+    /// workspace codec shares: `magic`, then `version` as a
+    /// little-endian `u16`. [`SnapshotReader::open`] checks it.
+    pub fn with_header(magic: &[u8], version: u16) -> Self {
+        let mut w = SnapshotWriter::new();
+        w.buf.extend_from_slice(magic);
+        w.put_u16(version);
+        w
+    }
+
     /// Finishes writing, returning the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -472,6 +468,33 @@ impl<'a> SnapshotReader<'a> {
     /// Creates a reader over `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
         SnapshotReader { bytes, pos: 0 }
+    }
+
+    /// Opens a stream framed by [`SnapshotWriter::with_header`],
+    /// returning a reader past the header and the version found.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::BadMagic`] unless `bytes` starts with all of
+    /// `magic`, [`SnapshotError::Truncated`] for a cut-off version,
+    /// [`SnapshotError::UnsupportedVersion`] above `max_version`.
+    pub fn open(
+        bytes: &'a [u8],
+        magic: &[u8],
+        max_version: u16,
+    ) -> Result<(Self, u16), SnapshotError> {
+        if !bytes.starts_with(magic) {
+            return Err(SnapshotError::BadMagic);
+        }
+        let mut r = SnapshotReader {
+            bytes,
+            pos: magic.len(),
+        };
+        let version = r.get_u16()?;
+        if version > max_version {
+            return Err(SnapshotError::UnsupportedVersion(version));
+        }
+        Ok((r, version))
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
@@ -578,6 +601,29 @@ impl<'a> SnapshotReader<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
+    }
+
+    /// Reads a `u32` count of items that take at least `min_item_bytes`
+    /// encoded bytes each.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] when the items cannot fit in the
+    /// remaining input, so a crafted count never drives an allocation.
+    pub fn get_count(&mut self, min_item_bytes: usize) -> Result<usize, SnapshotError> {
+        let count = self.get_u32()? as usize;
+        self.expect_items(count, min_item_bytes)?;
+        Ok(count)
+    }
+
+    /// The [`SnapshotReader::get_count`] guard, for counts derived from
+    /// other fields (table dimensions).
+    fn expect_items(&self, count: usize, min_item_bytes: usize) -> Result<(), SnapshotError> {
+        if count > self.remaining() / min_item_bytes.max(1) {
+            Err(SnapshotError::Truncated)
+        } else {
+            Ok(())
+        }
     }
 }
 

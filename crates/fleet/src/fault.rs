@@ -297,11 +297,7 @@ pub struct CheckpointBundle {
 impl CheckpointBundle {
     /// Serializes the bundle (`MAMUTCK` magic, versioned).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        for &b in CHECKPOINT_MAGIC {
-            w.put_u8(b);
-        }
-        w.put_u16(CHECKPOINT_VERSION);
+        let mut w = SnapshotWriter::with_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
         w.put_u64(self.epoch);
         w.put_u32(self.nodes.len() as u32);
         for node in &self.nodes {
@@ -335,23 +331,17 @@ impl CheckpointBundle {
     /// [`SnapshotError`] on a wrong magic, a newer codec version, or a
     /// truncated/corrupt byte stream.
     pub fn decode(bytes: &[u8]) -> Result<CheckpointBundle, SnapshotError> {
-        let mut r = SnapshotReader::new(bytes);
-        for &expected in CHECKPOINT_MAGIC {
-            if r.get_u8()? != expected {
-                return Err(SnapshotError::BadMagic);
-            }
-        }
-        let version = r.get_u16()?;
-        if version > CHECKPOINT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
+        let (mut r, _) = SnapshotReader::open(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
         let epoch = r.get_u64()?;
-        let n_nodes = r.get_u32()?;
-        let mut nodes = Vec::with_capacity(n_nodes as usize);
+        // A node is at least its id and a session count.
+        let n_nodes = r.get_count(8 + 4)?;
+        let mut nodes = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
             let node = r.get_u64()? as usize;
-            let n_sessions = r.get_u32()?;
-            let mut sessions = Vec::with_capacity(n_sessions as usize);
+            // A session is its request (34 bytes), its frame count and a
+            // checkpoint length.
+            let n_sessions = r.get_count(34 + 8 + 4)?;
+            let mut sessions = Vec::with_capacity(n_sessions);
             for _ in 0..n_sessions {
                 let request = SessionRequest {
                     id: r.get_u64()?,

@@ -78,14 +78,7 @@ fn open_state<'a>(
     bytes: &'a [u8],
     expected: &'static str,
 ) -> Result<SnapshotReader<'a>, SnapshotError> {
-    if bytes.len() < FORECAST_MAGIC.len() || &bytes[..FORECAST_MAGIC.len()] != FORECAST_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let mut r = SnapshotReader::new(&bytes[FORECAST_MAGIC.len()..]);
-    let version = r.get_u16()?;
-    if version > FORECAST_STATE_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
+    let (mut r, _) = SnapshotReader::open(bytes, FORECAST_MAGIC, FORECAST_STATE_VERSION)?;
     let tag = r.get_str()?;
     if tag != expected {
         return Err(SnapshotError::WrongController {
@@ -98,11 +91,7 @@ fn open_state<'a>(
 
 /// Starts a forecaster-state stream with magic, version and type tag.
 fn begin_state(tag: &str) -> SnapshotWriter {
-    let mut w = SnapshotWriter::new();
-    for &b in FORECAST_MAGIC {
-        w.put_u8(b);
-    }
-    w.put_u16(FORECAST_STATE_VERSION);
+    let mut w = SnapshotWriter::with_header(FORECAST_MAGIC, FORECAST_STATE_VERSION);
     w.put_str(tag);
     w
 }
@@ -221,12 +210,9 @@ impl Forecaster for SeasonalNaive {
         }
         let observations = r.get_u64()?;
         let cold_sum = get_finite(&mut r, "non-finite cold-start sum")?;
-        let n = r.get_u32()? as usize;
+        let n = r.get_count(8)?;
         if n > self.period || n as u64 > observations {
             return Err(SnapshotError::Corrupt("seasonal ring longer than history"));
-        }
-        if n > r.remaining() / 8 {
-            return Err(SnapshotError::Truncated);
         }
         let mut ring = Vec::with_capacity(n);
         for _ in 0..n {
@@ -407,10 +393,7 @@ impl Forecaster for HoltWinters {
         for _ in 0..period {
             seasonal.push(get_finite(&mut r, "non-finite seasonal component")?);
         }
-        let n = r.get_u32()? as usize;
-        if n > r.remaining() / 8 {
-            return Err(SnapshotError::Truncated);
-        }
+        let n = r.get_count(8)?;
         let mut warmup = Vec::with_capacity(n);
         for _ in 0..n {
             warmup.push(get_finite(&mut r, "non-finite warmup rate")?);

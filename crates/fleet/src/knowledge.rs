@@ -433,11 +433,7 @@ impl KnowledgeStore {
     /// after a restore, and the rebuild is exact — merges after a
     /// restore produce bitwise the same tables as merges without one.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        for &b in STORE_MAGIC {
-            w.put_u8(b);
-        }
-        w.put_u16(STORE_VERSION);
+        let mut w = SnapshotWriter::with_header(STORE_MAGIC, STORE_VERSION);
         w.put_u8(match self.policy {
             MergePolicy::Replace => 0,
             MergePolicy::VisitWeighted => 1,
@@ -466,14 +462,7 @@ impl KnowledgeStore {
     /// snapshot, were written by a newer codec, or any embedded policy
     /// snapshot fails to decode.
     pub fn restore(bytes: &[u8]) -> Result<KnowledgeStore, SnapshotError> {
-        if bytes.len() < STORE_MAGIC.len() || &bytes[..STORE_MAGIC.len()] != STORE_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let mut r = SnapshotReader::new(&bytes[STORE_MAGIC.len()..]);
-        let version = r.get_u16()?;
-        if version > STORE_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
+        let (mut r, _) = SnapshotReader::open(bytes, STORE_MAGIC, STORE_VERSION)?;
         let policy = match r.get_u8()? {
             0 => MergePolicy::Replace,
             1 => MergePolicy::VisitWeighted,
@@ -482,7 +471,9 @@ impl KnowledgeStore {
         let publishes = r.get_u64()?;
         let seeds_served = r.get_u64()?;
         let seed_attempts = r.get_u64()?;
-        let n_entries = r.get_u32()?;
+        // An entry is at least its class byte, a controller-tag length,
+        // a contribution count and a snapshot length.
+        let n_entries = r.get_count(1 + 4 + 8 + 4)?;
         let mut entries = BTreeMap::new();
         for _ in 0..n_entries {
             let class = match r.get_u8()? {

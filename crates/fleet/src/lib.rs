@@ -48,7 +48,9 @@
 //!   event tracing: typed simulated-time events from dispatch decisions
 //!   to crash recovery, a bounded flight-recorder mode that dumps
 //!   automatically on typed errors, a canonical `MAMUTTL` binary codec,
-//!   and Chrome `trace_event` / CSV exporters.
+//!   and Chrome `trace_event` / CSV exporters. The same event stream is
+//!   the one record of every countable fleet fact: the summary's
+//!   counters are folded from it ([`FleetCounters`]), traced or not.
 //!
 //! # Example
 //!
@@ -122,7 +124,7 @@ pub use shard::{ShardConfig, ShardedFleetSim, ShardedFleetSummary};
 pub use sim::{FleetConfig, FleetSim, NodeProvisioner};
 pub use summary::{FleetSummary, NodeFacts, NodeReport};
 pub use telemetry::{
-    FleetTrace, TelemetryEvent, TelemetryMode, TracedEvent, COORDINATOR_LANE, TRACE_MAGIC,
-    TRACE_VERSION,
+    FleetCounters, FleetTrace, TelemetryEvent, TelemetryMode, TracedEvent, COORDINATOR_LANE,
+    TRACE_MAGIC, TRACE_VERSION,
 };
 pub use workload::{SessionRequest, Workload, WorkloadConfig, WorkloadError};

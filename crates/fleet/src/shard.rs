@@ -94,8 +94,6 @@ impl ShardConfig {
 pub struct ShardedFleetSim {
     config: ShardConfig,
     shards: Vec<(String, FleetSim)>,
-    inter_shard_migrations: u64,
-    knowledge_syncs: u64,
     /// Coordinator copy of the fault plan: sync-loss and partition
     /// events execute here; node-level events run inside the shards.
     fault_plan: Option<FaultPlan>,
@@ -103,15 +101,14 @@ pub struct ShardedFleetSim {
     next_fault: usize,
     /// Upcoming sync rounds to suppress (injected sync loss).
     sync_loss_rounds: u64,
-    /// Sync rounds that were due but suppressed by injected sync loss.
-    sync_rounds_lost: u64,
     /// Partitioned shards as `(shard, until_epoch)`: cut off from
     /// overflow routing and knowledge sync (their nodes keep serving).
     partitions: Vec<(usize, u64)>,
     /// Shard-epochs spent partitioned from the coordinator.
     partition_epochs: u64,
-    /// Coordinator-lane event recording (sync rounds, overflow routing);
-    /// the per-shard timelines live inside the shards themselves.
+    /// Coordinator-lane events (sync rounds, overflow routing), the
+    /// source of the cross-shard counters; the per-shard timelines live
+    /// inside the shards themselves.
     telemetry: TelemetryCollector,
 }
 
@@ -119,8 +116,8 @@ impl std::fmt::Debug for ShardedFleetSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedFleetSim")
             .field("shards", &self.shards.len())
-            .field("inter_shard_migrations", &self.inter_shard_migrations)
-            .field("knowledge_syncs", &self.knowledge_syncs)
+            .field("inter_shard_migrations", &self.inter_shard_migrations())
+            .field("knowledge_syncs", &self.knowledge_syncs())
             .finish_non_exhaustive()
     }
 }
@@ -132,12 +129,9 @@ impl ShardedFleetSim {
         ShardedFleetSim {
             config,
             shards: Vec::new(),
-            inter_shard_migrations: 0,
-            knowledge_syncs: 0,
             fault_plan: None,
             next_fault: 0,
             sync_loss_rounds: 0,
-            sync_rounds_lost: 0,
             partitions: Vec::new(),
             partition_epochs: 0,
             telemetry: TelemetryCollector::default(),
@@ -179,9 +173,6 @@ impl ShardedFleetSim {
     /// epoch the shards just completed (the coordinator runs between
     /// epochs, at the boundary instant).
     fn record_coordinator(&mut self, event: TelemetryEvent) {
-        if !self.telemetry.enabled() {
-            return;
-        }
         let completed = self.shards[0].1.epoch();
         let at_us =
             (completed as f64 * self.shards[0].1.config().epoch_s * 1_000_000.0).round() as u64;
@@ -221,14 +212,14 @@ impl ShardedFleetSim {
         self.shards.len()
     }
 
-    /// Sessions moved across shard boundaries so far.
+    /// Sessions moved across shard boundaries so far this run.
     pub fn inter_shard_migrations(&self) -> u64 {
-        self.inter_shard_migrations
+        self.telemetry.counters().inter_shard_migrations
     }
 
-    /// Knowledge-sync rounds performed so far.
+    /// Knowledge-sync rounds performed so far this run.
     pub fn knowledge_syncs(&self) -> u64 {
-        self.knowledge_syncs
+        self.telemetry.counters().knowledge_syncs
     }
 
     /// Runs every shard's workload to completion in lockstep epochs.
@@ -271,7 +262,6 @@ impl ShardedFleetSim {
                 {
                     if self.sync_loss_rounds > 0 {
                         self.sync_loss_rounds -= 1;
-                        self.sync_rounds_lost += 1;
                         self.record_coordinator(TelemetryEvent::SyncRoundLost);
                     } else {
                         let stores = self.sync_knowledge();
@@ -303,13 +293,14 @@ impl ShardedFleetSim {
         for (name, sim) in &mut self.shards {
             shards.push((name.clone(), sim.finish_run()?));
         }
+        let counters = self.telemetry.counters();
         Ok(ShardedFleetSummary {
             epochs,
             duration_s: epochs as f64 * epoch_s,
             shards,
-            inter_shard_migrations: self.inter_shard_migrations,
-            knowledge_syncs: self.knowledge_syncs,
-            sync_rounds_lost: self.sync_rounds_lost,
+            inter_shard_migrations: counters.inter_shard_migrations,
+            knowledge_syncs: counters.knowledge_syncs,
+            sync_rounds_lost: counters.sync_rounds_lost,
             partition_epochs: self.partition_epochs,
         })
     }
@@ -402,7 +393,6 @@ impl ShardedFleetSim {
             };
             let session = migrated.request.id;
             self.shards[target].1.overflow_attach(migrated)?;
-            self.inter_shard_migrations += 1;
             self.record_coordinator(TelemetryEvent::OverflowMigration {
                 session,
                 from_shard: source as u32,
@@ -417,8 +407,9 @@ impl ShardedFleetSim {
     /// sharing one `Arc` store are folded once; shards without a store
     /// are skipped. Publish and seed counters stay local — syncing moves
     /// knowledge, it is not a session finishing. Returns the number of
-    /// distinct stores that exchanged knowledge (0 when nothing synced).
-    fn sync_knowledge(&mut self) -> usize {
+    /// distinct stores that exchanged knowledge (0 when nothing synced);
+    /// the caller records the round.
+    fn sync_knowledge(&self) -> usize {
         let cut = self.partitioned();
         let mut stores = Vec::new();
         for (index, (_, sim)) in self.shards.iter().enumerate() {
@@ -447,7 +438,6 @@ impl ShardedFleetSim {
                 .expect("knowledge store poisoned")
                 .adopt_knowledge(&global);
         }
-        self.knowledge_syncs += 1;
         stores.len()
     }
 }

@@ -148,7 +148,11 @@ pub struct FleetSim {
     knowledge: Option<SharedKnowledgeStore>,
     autoscaler: Option<Box<dyn Autoscaler>>,
     provisioner: Option<NodeProvisioner>,
+    /// Scenario phase boundaries, sorted; each joins the telemetry mark
+    /// log when its epoch comes due.
     phase_marks: Vec<(u64, String)>,
+    /// Cursor into `phase_marks`: the first mark not yet due.
+    next_phase_mark: usize,
     /// Idle nodes parked by the fast path, keyed by node id (BTreeMap
     /// for deterministic iteration at settle time).
     dormant: std::collections::BTreeMap<usize, DormantNode>,
@@ -169,10 +173,10 @@ pub struct FleetSim {
     throttles: Vec<(usize, u64)>,
     /// Cursor into the fault plan's (epoch-sorted) event list.
     next_fault: usize,
-    /// Structured event recording (off by default). Also owns the
-    /// crash/throttle/recovery marks faults emit — those are kept in
-    /// every mode and merged with the scenario's phase marks into the
-    /// summary timeline.
+    /// The run's event stream: every countable fact is recorded here
+    /// once and folded into the summary counters; events are stored only
+    /// with tracing on. Also owns the phase and fault marks the summary
+    /// timeline renders, kept in every mode.
     telemetry: TelemetryCollector,
     /// Encoded flight-recorder dump captured automatically when a typed
     /// error aborted the last `run` (None after a clean run).
@@ -211,6 +215,7 @@ impl FleetSim {
             autoscaler: None,
             provisioner: None,
             phase_marks: Vec::new(),
+            next_phase_mark: 0,
             dormant: std::collections::BTreeMap::new(),
             seeds_at_start: 0,
             fault_plan: None,
@@ -264,7 +269,8 @@ impl FleetSim {
     /// [`TelemetryMode`]). Recording never changes simulation results:
     /// a traced run's summary is byte-identical to an untraced one, and
     /// the trace itself is byte-identical across worker counts. With
-    /// tracing off every hook reduces to a single branch.
+    /// tracing off events are still folded into the summary counters,
+    /// but none is stored.
     pub fn set_telemetry(&mut self, mode: TelemetryMode) {
         self.telemetry.set_mode(mode);
         let on = self.telemetry.enabled();
@@ -444,6 +450,20 @@ impl FleetSim {
             })
     }
 
+    /// Folds one node epoch into the aggregate: the node's lifetime
+    /// `(frames, violations)` plus its sensor's energy and time totals.
+    fn record_epoch_row(&mut self, id: usize, (frames, violations): (u64, u64), util: f64) {
+        let sensor = self.nodes[id].server().sensor();
+        self.aggregate.record_node_epoch(
+            id,
+            frames,
+            violations,
+            sensor.total_energy_j(),
+            sensor.total_time_s(),
+            util,
+        );
+    }
+
     /// Un-parks a dormant node, replaying every skipped epoch exactly:
     /// each missed boundary gets the same `run_epoch` call (one idle
     /// sensor record per epoch — identical fp sequence to the unskipped
@@ -462,15 +482,7 @@ impl FleetSim {
             self.nodes[id]
                 .run_epoch(until, max_events)
                 .map_err(|source| FleetError::Node { node: id, source })?;
-            let server = self.nodes[id].server();
-            self.aggregate.record_node_epoch(
-                id,
-                parked.frames,
-                parked.violations,
-                server.sensor().total_energy_j(),
-                server.sensor().total_time_s(),
-                parked.utilization,
-            );
+            self.record_epoch_row(id, (parked.frames, parked.violations), parked.utilization);
         }
         Ok(())
     }
@@ -540,6 +552,7 @@ impl FleetSim {
         self.pending_replacements.clear();
         self.throttles.clear();
         self.next_fault = 0;
+        self.next_phase_mark = 0;
         self.telemetry.reset();
         self.flight_dump = None;
         Ok(())
@@ -554,8 +567,8 @@ impl FleetSim {
         if self.config.idle_fast_path {
             self.update_dormant();
         }
+        let at_us = self.epoch_us(self.epoch);
         if self.telemetry.enabled() {
-            let at_us = self.epoch_us(self.epoch);
             self.telemetry.record(
                 self.epoch,
                 at_us,
@@ -563,20 +576,14 @@ impl FleetSim {
                     active_nodes: self.active_node_count() as u32,
                 },
             );
-            // Scenario phase boundaries land in the trace at their epoch
-            // (they stay a separate summary input — only fault marks go
-            // through `record_mark`).
-            for (epoch, label) in &self.phase_marks {
-                if *epoch == self.epoch {
-                    self.telemetry.record(
-                        self.epoch,
-                        at_us,
-                        TelemetryEvent::Mark {
-                            label: label.clone(),
-                        },
-                    );
-                }
-            }
+        }
+        while let Some((_, label)) = self
+            .phase_marks
+            .get(self.next_phase_mark)
+            .filter(|(epoch, _)| *epoch <= self.epoch)
+        {
+            self.telemetry.record_mark(self.epoch, at_us, label.clone());
+            self.next_phase_mark += 1;
         }
         self.capture_checkpoint();
         self.inject_faults(epoch_start)?;
@@ -599,17 +606,7 @@ impl FleetSim {
             .collect();
         self.advance_nodes(boundary)?;
         for (id, util) in utilizations {
-            let node = &self.nodes[id];
-            let server = node.server();
-            let (frames, violations) = Self::qos_totals(node);
-            self.aggregate.record_node_epoch(
-                id,
-                frames,
-                violations,
-                server.sensor().total_energy_j(),
-                server.sensor().total_time_s(),
-                util,
-            );
+            self.record_epoch_row(id, Self::qos_totals(&self.nodes[id]), util);
         }
         if self.telemetry.enabled() {
             // Sessions that completed during this epoch's advance were
@@ -655,6 +652,11 @@ impl FleetSim {
         self.settle_dormant()?;
         self.aggregate
             .set_warm_starts(self.seeds_served() - self.seeds_at_start);
+        // Phases that start after the last epoch never came due; they
+        // still annotate the timeline.
+        for (epoch, label) in &self.phase_marks[self.next_phase_mark..] {
+            self.telemetry.note_mark(*epoch, label.clone());
+        }
         let facts: Vec<NodeFacts> = self
             .nodes
             .iter()
@@ -665,23 +667,15 @@ impl FleetSim {
                 retired: !n.is_active(),
             })
             .collect();
-        // Crash/recovery marks were recorded as faults fired (kept in
-        // every telemetry mode); interleave them with the scenario's
-        // pre-sorted phase marks by epoch.
-        let mut marks = self.phase_marks.clone();
-        marks.extend(self.telemetry.marks().iter().cloned());
-        marks.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        let mut summary = FleetSummary::assemble(
+        Ok(FleetSummary::assemble(
             self.dispatcher.name().to_owned(),
             self.epoch,
             self.epoch as f64 * self.config.epoch_s,
             &facts,
             &self.aggregate,
-            marks,
+            &self.telemetry,
             self.nodes.iter().map(FleetNode::summary).collect(),
-        );
-        summary.trace_events = self.telemetry.events_recorded();
-        Ok(summary)
+        ))
     }
 
     /// Epochs simulated so far.
@@ -780,38 +774,33 @@ impl FleetSim {
             pending_sessions: self.pending.len() - arrivals_due,
         };
         let scaler = self.autoscaler.as_mut().expect("presence checked above");
-        let decision = scaler.plan(&signals);
+        // A zero-node grow or shrink is a hold: counted and traced as one.
+        let decision = match scaler.plan(&signals) {
+            ScaleDecision::Grow(0) | ScaleDecision::Shrink(0) => ScaleDecision::Hold,
+            decision => decision,
+        };
+        let delta = match decision {
+            ScaleDecision::Hold => 0,
+            ScaleDecision::Grow(count) => count as i64,
+            ScaleDecision::Shrink(count) => -(count as i64),
+        };
         let source = scaler.decision_source();
-        self.aggregate.record_policy_decision(
-            source != crate::autoscale::PolicySource::Heuristic,
-            source == crate::autoscale::PolicySource::Exploratory,
-            decision != ScaleDecision::Hold,
+        // The detail string is policy provenance for stored events only,
+        // so tracing-off runs never pay for its formatting.
+        let detail = if self.telemetry.enabled() {
+            scaler.decision_detail().unwrap_or_default()
+        } else {
+            String::new()
+        };
+        self.telemetry.record(
+            self.epoch,
+            self.epoch_us(self.epoch),
+            TelemetryEvent::Autoscale {
+                delta,
+                source,
+                detail,
+            },
         );
-        if self.telemetry.enabled() {
-            let delta = match decision {
-                ScaleDecision::Hold => 0,
-                ScaleDecision::Grow(count) => count as i64,
-                ScaleDecision::Shrink(count) => -(count as i64),
-            };
-            // The detail string is policy provenance for the trace only;
-            // it is built exclusively here, so tracing-off runs never
-            // pay for its formatting.
-            let detail = self
-                .autoscaler
-                .as_ref()
-                .expect("presence checked above")
-                .decision_detail()
-                .unwrap_or_default();
-            self.telemetry.record(
-                self.epoch,
-                self.epoch_us(self.epoch),
-                TelemetryEvent::Autoscale {
-                    delta,
-                    source,
-                    detail,
-                },
-            );
-        }
         match decision {
             ScaleDecision::Hold => Ok(()),
             ScaleDecision::Grow(count) => self.commission_nodes(count, epoch_start),
@@ -843,7 +832,6 @@ impl FleetSim {
                 .map_err(|source| FleetError::Node { node: id, source })?;
             self.nodes.push(node);
             self.aggregate.ensure_nodes(self.nodes.len());
-            self.aggregate.record_scale_up();
             self.telemetry.record(
                 self.epoch,
                 self.epoch_us(self.epoch),
@@ -884,70 +872,85 @@ impl FleetSim {
         // its clock stops for good (retired nodes are never settled).
         self.wake_node(victim, self.epoch)?;
         let drained = self.nodes[victim].drain()?;
+        let sessions_drained = drained.len() as u32;
+        let at_us = self.epoch_us(self.epoch);
         for migrated in drained {
             let session = migrated.request.id;
-            let target = self
-                .nodes
-                .iter_mut()
-                .filter(|n| n.is_active() && n.id() != victim)
-                .map(|n| {
-                    n.refresh();
-                    (n.id(), n.view().utilization())
-                })
-                .min_by(|a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .expect("utilization is finite")
-                        .then(a.0.cmp(&b.0))
-                })
-                .map(|(id, _)| id)
-                .expect("pool never drains below one active node");
+            let target = self.least_utilized_peer(victim);
             self.wake_node(target, self.epoch)?;
             self.nodes[target].attach_session(migrated);
-            self.aggregate.record_drained_session();
-            if self.telemetry.enabled() {
-                let at_us = self.epoch_us(self.epoch);
-                self.telemetry.record(
-                    self.epoch,
-                    at_us,
-                    TelemetryEvent::SessionDetach {
-                        session,
-                        node: victim as u32,
-                    },
-                );
-                self.telemetry.record(
-                    self.epoch,
-                    at_us,
-                    TelemetryEvent::SessionAttach {
-                        session,
-                        node: target as u32,
-                    },
-                );
-            }
+            self.record_move(at_us, session, victim, target);
         }
-        // Final resample of the retired node's row: its drained sessions
-        // took their QoS history to their new homes, so without this the
-        // departed frames would be counted on both rows.
-        let server = self.nodes[victim].server();
-        let (frames, violations) = server.sessions().iter().fold((0u64, 0u64), |(f, v), s| {
-            (f + s.qos().frames(), v + s.qos().violations())
-        });
-        self.aggregate.resample_node_totals(
-            victim,
-            frames,
-            violations,
-            server.sensor().total_energy_j(),
-            server.sensor().total_time_s(),
-        );
+        // Its drained sessions took their QoS history to their new homes.
+        self.resample_departed(victim);
         self.nodes[victim].retire()?;
-        self.aggregate.record_scale_down();
         self.telemetry.record(
             self.epoch,
-            self.epoch_us(self.epoch),
+            at_us,
             TelemetryEvent::NodeRetire {
                 node: victim as u32,
+                sessions_drained,
             },
         );
         Ok(())
+    }
+
+    /// The least-utilized active node other than `node` (lowest id on
+    /// ties), refreshed now so consecutive placements in one boundary
+    /// see each other's load. Drain and crash recovery share this rule;
+    /// both keep at least one other node active.
+    fn least_utilized_peer(&mut self, node: usize) -> usize {
+        self.nodes
+            .iter_mut()
+            .filter(|n| n.is_active() && n.id() != node)
+            .map(|n| {
+                n.refresh();
+                (n.id(), n.view().utilization())
+            })
+            .min_by(|a, b| {
+                a.1.partial_cmp(&b.1)
+                    .expect("utilization is finite")
+                    .then(a.0.cmp(&b.0))
+            })
+            .map(|(id, _)| id)
+            .expect("drain and crash keep another node active")
+    }
+
+    /// Re-samples the row of a node whose live sessions just left it
+    /// (drained or crashed), without an epoch sample: it keeps only its
+    /// finished sessions' history, so frames that moved are not counted
+    /// on two rows.
+    fn resample_departed(&mut self, node: usize) {
+        let (frames, violations) = Self::qos_totals(&self.nodes[node]);
+        let sensor = self.nodes[node].server().sensor();
+        self.aggregate.resample_node_totals(
+            node,
+            frames,
+            violations,
+            sensor.total_energy_j(),
+            sensor.total_time_s(),
+        );
+    }
+
+    /// Records one live-session move between nodes (a drain or a
+    /// rebalance) as its detach/attach event pair.
+    fn record_move(&mut self, at_us: u64, session: u64, from: usize, to: usize) {
+        self.telemetry.record(
+            self.epoch,
+            at_us,
+            TelemetryEvent::SessionDetach {
+                session,
+                node: from as u32,
+            },
+        );
+        self.telemetry.record(
+            self.epoch,
+            at_us,
+            TelemetryEvent::SessionAttach {
+                session,
+                node: to as u32,
+            },
+        );
     }
 
     /// Captures a fleet checkpoint when the policy's interval comes due:
@@ -996,7 +999,6 @@ impl FleetSim {
             },
         );
         self.checkpoint = Some(encoded);
-        self.aggregate.record_checkpoint();
     }
 
     /// Executes the fault plan's events due this epoch plus the ongoing
@@ -1094,7 +1096,6 @@ impl FleetSim {
                             until_epoch,
                         },
                     );
-                    self.aggregate.record_throttle();
                 }
                 // Coordinator-level events (and events addressed to other
                 // shards) are not this fleet's to execute.
@@ -1140,7 +1141,6 @@ impl FleetSim {
                 sessions_lost: lost.len() as u32,
             },
         );
-        self.aggregate.record_crash();
         let bundle = self
             .checkpoint
             .as_ref()
@@ -1150,24 +1150,7 @@ impl FleetSim {
             .map(|b| b.sessions_of(victim))
             .unwrap_or_default();
         for (request, frames_at_crash) in lost {
-            // Least-utilized active survivor, recomputed per session so
-            // consecutive recoveries see each other's load — the same
-            // rule drain-and-retire uses.
-            let target = self
-                .nodes
-                .iter_mut()
-                .filter(|n| n.is_active())
-                .map(|n| {
-                    n.refresh();
-                    (n.id(), n.view().utilization())
-                })
-                .min_by(|a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .expect("utilization is finite")
-                        .then(a.0.cmp(&b.0))
-                })
-                .map(|(id, _)| id)
-                .expect("crash guard keeps at least one active node");
+            let target = self.least_utilized_peer(victim);
             self.wake_node(target, self.epoch)?;
             let ck = covered.get(&request.id);
             let restored =
@@ -1188,19 +1171,9 @@ impl FleetSim {
                     from_checkpoint: restored,
                 },
             );
-            self.aggregate.record_recovered_session(redone);
         }
-        // The victim's row keeps only what stayed: finished sessions'
-        // history. Its dead sessions' QoS moved (or restarted) elsewhere.
-        let (frames, violations) = Self::qos_totals(&self.nodes[victim]);
-        let server = self.nodes[victim].server();
-        self.aggregate.resample_node_totals(
-            victim,
-            frames,
-            violations,
-            server.sensor().total_energy_j(),
-            server.sensor().total_time_s(),
-        );
+        // Its dead sessions' QoS moved (or restarted) elsewhere.
+        self.resample_departed(victim);
         if self.provisioner.is_some() {
             let delay = self
                 .fault_plan
@@ -1296,28 +1269,9 @@ impl FleetSim {
             // hosts it then — so visit-weighted merges never count a
             // trajectory twice.
             self.nodes[to].attach_session(migrated);
-            self.aggregate.record_migration();
-            if self.telemetry.enabled() {
-                // Rebalance runs after this epoch's advance: the move
-                // happens at the *next* boundary.
-                let at_us = self.epoch_us(self.epoch + 1);
-                self.telemetry.record(
-                    self.epoch,
-                    at_us,
-                    TelemetryEvent::SessionDetach {
-                        session,
-                        node: from as u32,
-                    },
-                );
-                self.telemetry.record(
-                    self.epoch,
-                    at_us,
-                    TelemetryEvent::SessionAttach {
-                        session,
-                        node: to as u32,
-                    },
-                );
-            }
+            // Rebalance runs after this epoch's advance: the move
+            // happens at the *next* boundary.
+            self.record_move(self.epoch_us(self.epoch + 1), session, from, to);
         }
         Ok(())
     }
@@ -1349,8 +1303,6 @@ impl FleetSim {
                         session: request.id,
                     },
                 );
-                self.aggregate.record_shed_session();
-                self.aggregate.record_rejection();
             }
             return Ok(());
         }
@@ -1399,7 +1351,6 @@ impl FleetSim {
                             session: request.id,
                         },
                     );
-                    self.aggregate.record_rejection();
                 }
                 DispatchDecision::Queue => {
                     self.telemetry.record(
@@ -1409,7 +1360,6 @@ impl FleetSim {
                             session: request.id,
                         },
                     );
-                    self.aggregate.record_queued_wait();
                     self.queued.push_back(request);
                 }
             }

@@ -4,6 +4,8 @@ use mamut_metrics::fleet::FleetAggregate;
 use mamut_metrics::{Align, Table, UtilizationHistogram};
 use mamut_transcode::RunSummary;
 
+use crate::telemetry::TelemetryCollector;
+
 /// Per-node lifetime facts the fleet hands to the summary assembly
 /// alongside the metric aggregate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -163,14 +165,16 @@ pub struct FleetSummary {
 }
 
 impl FleetSummary {
-    /// Assembles the report from the aggregate and per-node summaries.
+    /// Assembles the report from the per-epoch aggregate, the counters
+    /// and marks the telemetry collector derived from the run's event
+    /// stream, and the per-node summaries.
     pub(crate) fn assemble(
         policy: String,
         epochs: u64,
         duration_s: f64,
         node_facts: &[NodeFacts],
         aggregate: &FleetAggregate,
-        phase_marks: Vec<(u64, String)>,
+        telemetry: &TelemetryCollector,
         node_runs: Vec<RunSummary>,
     ) -> FleetSummary {
         let nodes = aggregate
@@ -197,6 +201,10 @@ impl FleetSummary {
             .collect();
         let slack = aggregate.tail.qos_slack_percentiles(&[50.0, 95.0, 99.0]);
         let latency = aggregate.tail.frame_latency_percentiles_ms(&[95.0, 99.0]);
+        let counters = telemetry.counters();
+        // Phase and fault marks interleave by epoch, then label.
+        let mut phase_marks = telemetry.marks().to_vec();
+        phase_marks.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         FleetSummary {
             policy,
             epochs,
@@ -207,32 +215,32 @@ impl FleetSummary {
             total_energy_j: aggregate.total_energy_j(),
             total_frames: aggregate.total_frames(),
             total_sessions: node_facts.iter().map(|f| f.sessions).sum(),
-            rejected_sessions: aggregate.rejected_sessions,
-            queued_waits: aggregate.queued_waits,
-            migrations: aggregate.migrations,
+            rejected_sessions: counters.rejected_sessions,
+            queued_waits: counters.queued_waits,
+            migrations: counters.migrations(),
             warm_starts: aggregate.warm_starts,
-            scale_ups: aggregate.scale_ups,
-            scale_downs: aggregate.scale_downs,
-            drained_sessions: aggregate.drained_sessions,
+            scale_ups: counters.scale_ups,
+            scale_downs: counters.scale_downs,
+            drained_sessions: counters.drained_sessions,
             node_epochs: aggregate.node_epochs,
             peak_nodes: aggregate.peak_nodes(),
             pool_timeline: aggregate.pool_timeline.clone(),
             phase_marks,
             utilization: aggregate.utilization.clone(),
-            greedy_actions: aggregate.greedy_actions,
-            exploratory_actions: aggregate.exploratory_actions,
-            heuristic_decisions: aggregate.heuristic_decisions,
-            learned_scale_events: aggregate.learned_scale_events,
-            heuristic_scale_events: aggregate.heuristic_scale_events,
-            crashes: aggregate.crashes,
-            throttles: aggregate.throttles,
-            sessions_recovered: aggregate.sessions_recovered,
-            frames_redone: aggregate.frames_redone,
+            greedy_actions: counters.greedy_actions,
+            exploratory_actions: counters.exploratory_actions,
+            heuristic_decisions: counters.heuristic_decisions,
+            learned_scale_events: counters.learned_scale_events,
+            heuristic_scale_events: counters.heuristic_scale_events,
+            crashes: counters.crashes,
+            throttles: counters.throttles,
+            sessions_recovered: counters.sessions_recovered,
+            frames_redone: counters.frames_redone,
             frames_lost: aggregate.frames_lost,
-            shed_sessions: aggregate.shed_sessions,
+            shed_sessions: counters.shed_sessions,
             down_node_epochs: aggregate.down_node_epochs,
             recoveries: aggregate.recoveries,
-            checkpoints: aggregate.checkpoints,
+            checkpoints: counters.checkpoints,
             availability_percent: aggregate.availability_percent(),
             mean_mttr_epochs: aggregate.mean_mttr_epochs(),
             qos_slack_p50: slack[0],
@@ -240,7 +248,7 @@ impl FleetSummary {
             qos_slack_p99: slack[2],
             frame_latency_p95_ms: latency[0],
             frame_latency_p99_ms: latency[1],
-            trace_events: 0,
+            trace_events: telemetry.events_recorded(),
             node_runs,
         }
     }
@@ -426,6 +434,8 @@ impl std::fmt::Display for FleetSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autoscale::PolicySource;
+    use crate::telemetry::TelemetryEvent;
     use mamut_metrics::fleet::FleetAggregate;
 
     fn facts(sessions: u64) -> NodeFacts {
@@ -435,21 +445,47 @@ mod tests {
         }
     }
 
+    /// A tracing-off collector that has folded `events` (all at epoch 0).
+    fn folded(events: impl IntoIterator<Item = TelemetryEvent>) -> TelemetryCollector {
+        let mut telemetry = TelemetryCollector::default();
+        for event in events {
+            telemetry.record(0, 0, event);
+        }
+        telemetry
+    }
+
+    fn autoscale(delta: i64, source: PolicySource) -> TelemetryEvent {
+        TelemetryEvent::Autoscale {
+            delta,
+            source,
+            detail: String::new(),
+        }
+    }
+
+    fn assemble(
+        epochs: u64,
+        facts: &[NodeFacts],
+        agg: &FleetAggregate,
+        telemetry: &TelemetryCollector,
+    ) -> FleetSummary {
+        FleetSummary::assemble(
+            "least-loaded".into(),
+            epochs,
+            epochs as f64,
+            facts,
+            agg,
+            telemetry,
+            Vec::new(),
+        )
+    }
+
     fn sample() -> FleetSummary {
         let mut agg = FleetAggregate::new(2);
         agg.record_node_epoch(0, 400, 40, 800.0, 10.0, 0.5);
         agg.record_node_epoch(1, 100, 0, 600.0, 10.0, 0.25);
-        agg.record_rejection();
         agg.record_pool_size(0, 2);
-        FleetSummary::assemble(
-            "least-loaded".into(),
-            10,
-            10.0,
-            &[facts(3), facts(2)],
-            &agg,
-            Vec::new(),
-            Vec::new(),
-        )
+        let telemetry = folded([TelemetryEvent::DispatchReject { session: 9 }]);
+        assemble(10, &[facts(3), facts(2)], &agg, &telemetry)
     }
 
     fn elastic_sample() -> FleetSummary {
@@ -460,11 +496,19 @@ mod tests {
         agg.record_pool_size(0, 1);
         agg.record_pool_size(3, 2);
         agg.record_pool_size(8, 1);
-        agg.record_scale_up();
-        agg.record_scale_down();
-        agg.record_drained_session();
-        agg.record_drained_session();
-        agg.record_migration();
+        // One commission, one rebalance move, then a two-session drain
+        // of node 0 before it retires.
+        let attach = |session| TelemetryEvent::SessionAttach { session, node: 1 };
+        let telemetry = folded([
+            TelemetryEvent::NodeCommission { node: 1 },
+            attach(1),
+            attach(2),
+            attach(3),
+            TelemetryEvent::NodeRetire {
+                node: 0,
+                sessions_drained: 2,
+            },
+        ]);
         let node0 = NodeFacts {
             sessions: 3,
             migrated_in: 0,
@@ -477,15 +521,7 @@ mod tests {
             migrated_out: 0,
             retired: false,
         };
-        FleetSummary::assemble(
-            "least-loaded".into(),
-            10,
-            10.0,
-            &[node0, node1],
-            &agg,
-            Vec::new(),
-            Vec::new(),
-        )
+        assemble(10, &[node0, node1], &agg, &telemetry)
     }
 
     #[test]
@@ -556,33 +592,21 @@ mod tests {
         // their historical rendering…
         let mut agg = FleetAggregate::new(1);
         agg.record_node_epoch(0, 100, 0, 100.0, 1.0, 0.5);
-        agg.record_policy_decision(false, false, true);
-        let heuristic = FleetSummary::assemble(
-            "rl".into(),
-            1,
-            1.0,
-            &[facts(1)],
-            &agg,
-            Vec::new(),
-            Vec::new(),
-        );
+        let mut telemetry = folded([autoscale(-1, PolicySource::Heuristic)]);
+        let heuristic = assemble(1, &[facts(1)], &agg, &telemetry);
         assert_eq!(heuristic.heuristic_decisions, 1);
         assert_eq!(heuristic.heuristic_scale_events, 1);
         assert!(!heuristic.to_string().contains("policy:"), "{heuristic}");
         // …while a learned run gets the greedy/exploratory split and the
         // scale-event attribution.
-        agg.record_policy_decision(true, false, true);
-        agg.record_policy_decision(true, true, false);
-        agg.record_policy_decision(true, false, false);
-        let learned = FleetSummary::assemble(
-            "rl".into(),
-            4,
-            4.0,
-            &[facts(1)],
-            &agg,
-            Vec::new(),
-            Vec::new(),
-        );
+        for event in [
+            autoscale(2, PolicySource::Greedy),
+            autoscale(0, PolicySource::Exploratory),
+            autoscale(0, PolicySource::Greedy),
+        ] {
+            telemetry.record(1, 0, event);
+        }
+        let learned = assemble(4, &[facts(1)], &agg, &telemetry);
         assert_eq!(learned.greedy_actions, 2);
         assert_eq!(learned.exploratory_actions, 1);
         assert_eq!(learned.learned_scale_events, 1);
@@ -604,37 +628,40 @@ mod tests {
         let mut agg = FleetAggregate::new(2);
         agg.record_node_epoch(0, 400, 40, 800.0, 10.0, 0.5);
         agg.record_node_epoch(1, 100, 0, 600.0, 10.0, 0.25);
-        agg.record_checkpoint();
-        let quiet = FleetSummary::assemble(
-            "least-loaded".into(),
-            10,
-            10.0,
-            &[facts(3), facts(2)],
-            &agg,
-            Vec::new(),
-            Vec::new(),
-        );
+        let mut telemetry = folded([TelemetryEvent::CheckpointCaptured {
+            sessions: 2,
+            bytes: 100,
+        }]);
+        let quiet = assemble(10, &[facts(3), facts(2)], &agg, &telemetry);
         assert_eq!(quiet.checkpoints, 1);
         let text = quiet.to_string();
         assert!(!text.contains("faults:"), "{text}");
         assert!(!text.contains("resilience:"), "{text}");
         // …while a chaos run renders every fault counter.
-        agg.record_crash();
-        agg.record_throttle();
-        agg.record_recovered_session(37);
-        agg.record_shed_session();
+        for event in [
+            TelemetryEvent::NodeCrash {
+                node: 0,
+                sessions_lost: 1,
+            },
+            TelemetryEvent::ThrottleStart {
+                node: 1,
+                freq_cap_ghz: 1.8,
+                until_epoch: 5,
+            },
+            TelemetryEvent::SessionRecovered {
+                session: 4,
+                node: 1,
+                frames_redone: 37,
+                from_checkpoint: true,
+            },
+            TelemetryEvent::DispatchShed { session: 5 },
+        ] {
+            telemetry.record(3, 0, event);
+        }
         agg.record_down_node_epoch();
         agg.record_down_node_epoch();
         agg.record_recovery(2);
-        let chaos = FleetSummary::assemble(
-            "least-loaded".into(),
-            10,
-            10.0,
-            &[facts(3), facts(2)],
-            &agg,
-            Vec::new(),
-            Vec::new(),
-        );
+        let chaos = assemble(10, &[facts(3), facts(2)], &agg, &telemetry);
         assert_eq!(chaos.crashes, 1);
         assert_eq!(chaos.frames_redone, 37);
         assert!((chaos.availability_percent - 50.0).abs() < 1e-12);

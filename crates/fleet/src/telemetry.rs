@@ -10,9 +10,15 @@
 //! worker threads advanced the nodes — the same invariant the summaries
 //! already obey, extended to the full decision timeline.
 //!
-//! Three recording modes ([`TelemetryMode`]):
+//! The event stream is the fleet's one record of every countable fact:
+//! each event is folded into [`FleetCounters`] whatever the mode, and
+//! the summary reads its counters from that fold, so a summary and a
+//! `Full` trace of the same run cannot disagree.
 //!
-//! * `Off` (default) — every hook is a single branch; nothing allocates.
+//! Three recording modes ([`TelemetryMode`]) decide which events are
+//! *stored*:
+//!
+//! * `Off` (default) — events are folded into the counters, then dropped.
 //! * `Full` — every event of the run is retained.
 //! * `FlightRecorder { epochs }` — only the last `epochs` completed
 //!   epochs are retained (plus the one in progress); when a typed error
@@ -36,8 +42,10 @@ use crate::autoscale::PolicySource;
 /// Magic prefix of an encoded [`FleetTrace`].
 pub const TRACE_MAGIC: &[u8; 8] = b"MAMUTTL\0";
 
-/// Current trace codec version.
-pub const TRACE_VERSION: u16 = 1;
+/// Current trace codec version. Version 2 added
+/// [`TelemetryEvent::NodeRetire`]'s `sessions_drained`; version-1
+/// traces still decode, with that count read as 0.
+pub const TRACE_VERSION: u16 = 2;
 
 /// Lane index [`FleetTrace::merge_sharded`] assigns to coordinator-level
 /// events (knowledge sync, overflow routing) so they never collide with
@@ -47,7 +55,7 @@ pub const COORDINATOR_LANE: u32 = u32::MAX;
 /// What the telemetry layer records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TelemetryMode {
-    /// Record nothing; every instrumentation hook reduces to one branch.
+    /// Store nothing: events are only folded into the summary counters.
     #[default]
     Off,
     /// Retain every event of the run.
@@ -111,6 +119,9 @@ pub enum TelemetryEvent {
     NodeRetire {
         /// The retired node's id.
         node: u32,
+        /// Live sessions migrated off it before it powered down (their
+        /// moves precede this event as detach/attach pairs).
+        sessions_drained: u32,
     },
     /// A fail-stop crash killed a node.
     NodeCrash {
@@ -232,7 +243,7 @@ impl TelemetryEvent {
         match *self {
             TelemetryEvent::DispatchAssign { node, .. }
             | TelemetryEvent::NodeCommission { node }
-            | TelemetryEvent::NodeRetire { node }
+            | TelemetryEvent::NodeRetire { node, .. }
             | TelemetryEvent::NodeCrash { node, .. }
             | TelemetryEvent::ThrottleStart { node, .. }
             | TelemetryEvent::ThrottleEnd { node }
@@ -295,6 +306,128 @@ fn decode_policy_source(tag: u8) -> Result<PolicySource, SnapshotError> {
         1 => Ok(PolicySource::Greedy),
         2 => Ok(PolicySource::Exploratory),
         _ => Err(SnapshotError::Corrupt("invalid policy source tag")),
+    }
+}
+
+/// The summary counters derived from the event stream: the one place a
+/// countable fleet fact is tallied. The collector folds every recorded
+/// event into these in every [`TelemetryMode`];
+/// [`FleetSummary`](crate::FleetSummary) and
+/// [`ShardedFleetSummary`](crate::ShardedFleetSummary) report them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FleetCounters {
+    /// Sessions rejected outright or shed (`dispatch-reject`/`-shed`).
+    pub rejected_sessions: u64,
+    /// Sessions shed while the fleet ran degraded (`dispatch-shed`).
+    pub shed_sessions: u64,
+    /// Session-epochs spent in the pending queue (`dispatch-queue`).
+    pub queued_waits: u64,
+    /// Nodes commissioned mid-run, replacements too (`node-commission`).
+    pub scale_ups: u64,
+    /// Nodes drained and retired (`node-retire`).
+    pub scale_downs: u64,
+    /// Sessions drained off retiring nodes (`node-retire`).
+    pub drained_sessions: u64,
+    /// Moves onto a node, drains included (`session-attach`).
+    pub session_attaches: u64,
+    /// Fail-stop node crashes (`node-crash`).
+    pub crashes: u64,
+    /// Thermal throttles applied (`throttle-start`).
+    pub throttles: u64,
+    /// Sessions re-created after crashes (`session-recovered`).
+    pub sessions_recovered: u64,
+    /// Frames those recoveries must transcode again.
+    pub frames_redone: u64,
+    /// Fleet checkpoints captured (`checkpoint`).
+    pub checkpoints: u64,
+    /// Autoscale decisions a learned policy took greedily.
+    pub greedy_actions: u64,
+    /// Autoscale decisions a learned policy took exploratorily.
+    pub exploratory_actions: u64,
+    /// Autoscale decisions planned by a heuristic policy.
+    pub heuristic_decisions: u64,
+    /// Non-hold autoscale decisions by a learned policy.
+    pub learned_scale_events: u64,
+    /// Non-hold autoscale decisions by a heuristic policy.
+    pub heuristic_scale_events: u64,
+    /// Sessions routed across shard boundaries (`overflow-migration`).
+    pub inter_shard_migrations: u64,
+    /// Cross-shard knowledge-sync rounds (`knowledge-sync`).
+    pub knowledge_syncs: u64,
+    /// Sync rounds suppressed by injected sync loss (`sync-round-lost`).
+    pub sync_rounds_lost: u64,
+}
+
+impl FleetCounters {
+    /// Folds one event into the counters.
+    pub fn fold(&mut self, event: &TelemetryEvent) {
+        match *event {
+            TelemetryEvent::DispatchQueue { .. } => self.queued_waits += 1,
+            TelemetryEvent::DispatchReject { .. } => self.rejected_sessions += 1,
+            TelemetryEvent::DispatchShed { .. } => {
+                self.shed_sessions += 1;
+                self.rejected_sessions += 1;
+            }
+            TelemetryEvent::Autoscale { delta, source, .. } => {
+                let (decisions, scale_events) = match source {
+                    PolicySource::Heuristic => (
+                        &mut self.heuristic_decisions,
+                        &mut self.heuristic_scale_events,
+                    ),
+                    PolicySource::Greedy => {
+                        (&mut self.greedy_actions, &mut self.learned_scale_events)
+                    }
+                    PolicySource::Exploratory => (
+                        &mut self.exploratory_actions,
+                        &mut self.learned_scale_events,
+                    ),
+                };
+                *decisions += 1;
+                *scale_events += u64::from(delta != 0);
+            }
+            TelemetryEvent::NodeCommission { .. } => self.scale_ups += 1,
+            TelemetryEvent::NodeRetire {
+                sessions_drained, ..
+            } => {
+                self.scale_downs += 1;
+                self.drained_sessions += u64::from(sessions_drained);
+            }
+            TelemetryEvent::NodeCrash { .. } => self.crashes += 1,
+            TelemetryEvent::ThrottleStart { .. } => self.throttles += 1,
+            TelemetryEvent::SessionRecovered { frames_redone, .. } => {
+                self.sessions_recovered += 1;
+                self.frames_redone += frames_redone;
+            }
+            TelemetryEvent::CheckpointCaptured { .. } => self.checkpoints += 1,
+            TelemetryEvent::SessionAttach { .. } => self.session_attaches += 1,
+            TelemetryEvent::KnowledgeSync { .. } => self.knowledge_syncs += 1,
+            TelemetryEvent::SyncRoundLost => self.sync_rounds_lost += 1,
+            TelemetryEvent::OverflowMigration { .. } => self.inter_shard_migrations += 1,
+            TelemetryEvent::EpochBegin { .. }
+            | TelemetryEvent::EpochEnd
+            | TelemetryEvent::DispatchAssign { .. }
+            | TelemetryEvent::ThrottleEnd { .. }
+            | TelemetryEvent::SessionDetach { .. }
+            | TelemetryEvent::SessionEnd { .. }
+            | TelemetryEvent::Mark { .. } => {}
+        }
+    }
+
+    /// The counters of a recorded trace. For a `Full` trace of a run
+    /// this equals the counters that run's summary reports; a
+    /// flight-recorder trace yields the retained window's share.
+    pub fn from_trace(trace: &FleetTrace) -> FleetCounters {
+        let mut counters = FleetCounters::default();
+        for traced in &trace.events {
+            counters.fold(&traced.event);
+        }
+        counters
+    }
+
+    /// Sessions moved by rebalancing: every attach that was not part of
+    /// a drain before decommission.
+    pub fn migrations(&self) -> u64 {
+        self.session_attaches.saturating_sub(self.drained_sessions)
     }
 }
 
@@ -361,11 +494,7 @@ impl FleetTrace {
     /// Canonical binary encoding (`MAMUTTL`): decoding then re-encoding
     /// reproduces the bytes exactly.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        for &b in TRACE_MAGIC {
-            w.put_u8(b);
-        }
-        w.put_u16(TRACE_VERSION);
+        let mut w = SnapshotWriter::with_header(TRACE_MAGIC, TRACE_VERSION);
         w.put_f64(self.epoch_s);
         w.put_u64(self.dropped_epochs);
         w.put_u32(self.events.len() as u32);
@@ -410,9 +539,13 @@ impl FleetTrace {
                     w.put_u8(7);
                     w.put_u32(*node);
                 }
-                TelemetryEvent::NodeRetire { node } => {
+                TelemetryEvent::NodeRetire {
+                    node,
+                    sessions_drained,
+                } => {
                     w.put_u8(8);
                     w.put_u32(*node);
+                    w.put_u32(*sessions_drained);
                 }
                 TelemetryEvent::NodeCrash {
                     node,
@@ -500,23 +633,11 @@ impl FleetTrace {
     /// Decodes an encoded trace, rejecting wrong magic, future versions,
     /// truncation and malformed shapes.
     pub fn decode(bytes: &[u8]) -> Result<FleetTrace, SnapshotError> {
-        let mut r = SnapshotReader::new(bytes);
-        for &expected in TRACE_MAGIC {
-            if r.get_u8()? != expected {
-                return Err(SnapshotError::BadMagic);
-            }
-        }
-        let version = r.get_u16()?;
-        if version > TRACE_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
+        let (mut r, version) = SnapshotReader::open(bytes, TRACE_MAGIC, TRACE_VERSION)?;
         let epoch_s = r.get_f64()?;
         let dropped_epochs = r.get_u64()?;
-        let count = r.get_u32()?;
-        if count as usize > r.remaining() / MIN_EVENT_BYTES {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut events = Vec::with_capacity(count as usize);
+        let count = r.get_count(MIN_EVENT_BYTES)?;
+        let mut events = Vec::with_capacity(count);
         for _ in 0..count {
             let epoch = r.get_u64()?;
             let at_us = r.get_u64()?;
@@ -545,7 +666,10 @@ impl FleetTrace {
                     detail: r.get_str()?,
                 },
                 7 => TelemetryEvent::NodeCommission { node: r.get_u32()? },
-                8 => TelemetryEvent::NodeRetire { node: r.get_u32()? },
+                8 => TelemetryEvent::NodeRetire {
+                    node: r.get_u32()?,
+                    sessions_drained: if version >= 2 { r.get_u32()? } else { 0 },
+                },
                 9 => TelemetryEvent::NodeCrash {
                     node: r.get_u32()?,
                     sessions_lost: r.get_u32()?,
@@ -769,6 +893,9 @@ impl FleetTrace {
                 TelemetryEvent::NodeCrash { sessions_lost, .. } => {
                     format!("sessions_lost={sessions_lost}")
                 }
+                TelemetryEvent::NodeRetire {
+                    sessions_drained, ..
+                } => format!("sessions_drained={sessions_drained}"),
                 TelemetryEvent::SessionRecovered {
                     frames_redone,
                     from_checkpoint,
@@ -834,12 +961,16 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// The recording side: per-epoch event blocks with flight-recorder
-/// trimming, plus the always-on mark log the summary renders from.
+/// The recording side: [`TelemetryCollector::record`] folds every event
+/// into the run's [`FleetCounters`] and stores it only when tracing is
+/// on (`Full` keeps every epoch block, `FlightRecorder` a ring of the
+/// latest). Fault and phase marks go to a mark log kept in every mode,
+/// which the summary's pool timeline renders from.
 ///
-/// Lives inside [`FleetSim`](crate::FleetSim); every hook checks
-/// [`TelemetryCollector::enabled`] first, so with tracing off the whole
-/// layer costs one branch per hook.
+/// With tracing off a hook costs building the event plus the fold;
+/// callers guard work only stored events need (the autoscale detail
+/// string, the epoch-begin pool count, session-end draining) with
+/// [`TelemetryCollector::enabled`].
 #[derive(Debug, Default)]
 pub(crate) struct TelemetryCollector {
     mode: TelemetryMode,
@@ -852,6 +983,8 @@ pub(crate) struct TelemetryCollector {
     marks: Vec<(u64, String)>,
     dropped_epochs: u64,
     events_recorded: u64,
+    /// Every event recorded this run, folded (stored or not).
+    counters: FleetCounters,
 }
 
 impl TelemetryCollector {
@@ -865,8 +998,7 @@ impl TelemetryCollector {
         self.mode
     }
 
-    /// Whether events are being recorded at all — the one branch every
-    /// instrumentation hook pays when tracing is off.
+    /// Whether events are stored (tracing is on).
     #[inline]
     pub(crate) fn enabled(&self) -> bool {
         self.mode != TelemetryMode::Off
@@ -880,10 +1012,13 @@ impl TelemetryCollector {
         self.marks.clear();
         self.dropped_epochs = 0;
         self.events_recorded = 0;
+        self.counters = FleetCounters::default();
     }
 
-    /// Records one event into the current epoch block (no-op when off).
+    /// Records one event: folds it into the counters, and stores it in
+    /// the current epoch block when tracing is on.
     pub(crate) fn record(&mut self, epoch: u64, at_us: u64, event: TelemetryEvent) {
+        self.counters.fold(&event);
         if self.enabled() {
             self.events_recorded += 1;
             self.current.push(TracedEvent {
@@ -908,6 +1043,12 @@ impl TelemetryCollector {
                 },
             );
         }
+        self.note_mark(epoch, label);
+    }
+
+    /// Adds a mark to the timeline log only — for annotations that never
+    /// came due during the run (a phase starting after its last epoch).
+    pub(crate) fn note_mark(&mut self, epoch: u64, label: String) {
         self.marks.push((epoch, label));
     }
 
@@ -930,10 +1071,15 @@ impl TelemetryCollector {
         &self.marks
     }
 
-    /// Events recorded over the run, including any the flight recorder
-    /// has since dropped.
+    /// Events stored over the run, including any the flight recorder
+    /// has since dropped (0 with tracing off).
     pub(crate) fn events_recorded(&self) -> u64 {
         self.events_recorded
+    }
+
+    /// The counters folded from every event recorded this run.
+    pub(crate) fn counters(&self) -> &FleetCounters {
+        &self.counters
     }
 
     /// Assembles the retained events into a [`FleetTrace`].
@@ -1053,7 +1199,10 @@ mod tests {
                 detail: String::new(),
             },
             TelemetryEvent::NodeCommission { node: 6 },
-            TelemetryEvent::NodeRetire { node: 7 },
+            TelemetryEvent::NodeRetire {
+                node: 7,
+                sessions_drained: 3,
+            },
             TelemetryEvent::NodeCrash {
                 node: 8,
                 sessions_lost: 2,
@@ -1215,9 +1364,19 @@ mod tests {
         let mut c = TelemetryCollector::default();
         assert!(!c.enabled());
         c.record(0, 0, TelemetryEvent::EpochEnd);
+        c.record(
+            0,
+            0,
+            TelemetryEvent::NodeCrash {
+                node: 0,
+                sessions_lost: 2,
+            },
+        );
         c.record_mark(0, 0, "crash:n0".to_owned());
         c.end_epoch();
         assert_eq!(c.events_recorded(), 0);
+        // Nothing is stored, but every event still feeds the counters.
+        assert_eq!(c.counters().crashes, 1);
         assert_eq!(c.marks(), &[(0, "crash:n0".to_owned())]);
         assert!(c.trace(1.0).is_empty());
     }

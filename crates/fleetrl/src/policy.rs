@@ -271,11 +271,7 @@ impl FleetPolicy {
     /// byte-identical decisions. Encoding is canonical: encode → decode
     /// → encode round-trips to the very same bytes.
     pub fn snapshot_state(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        for &b in POLICY_MAGIC {
-            w.put_u8(b);
-        }
-        w.put_u16(FLEETRL_STATE_VERSION);
+        let mut w = SnapshotWriter::with_header(POLICY_MAGIC, FLEETRL_STATE_VERSION);
         w.put_str(POLICY_TAG);
         w.put_u32(self.n_states as u32);
         w.put_u32(JointAction::COUNT as u32);
@@ -308,14 +304,7 @@ impl FleetPolicy {
     /// were written by a newer codec, or disagree with this policy's
     /// state/action space. A failed restore leaves the policy untouched.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        if bytes.len() < POLICY_MAGIC.len() || &bytes[..POLICY_MAGIC.len()] != POLICY_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let mut r = SnapshotReader::new(&bytes[POLICY_MAGIC.len()..]);
-        let version = r.get_u16()?;
-        if version > FLEETRL_STATE_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
+        let (mut r, _) = SnapshotReader::open(bytes, POLICY_MAGIC, FLEETRL_STATE_VERSION)?;
         let tag = r.get_str()?;
         if tag != POLICY_TAG {
             return Err(SnapshotError::WrongController {
@@ -343,15 +332,9 @@ impl FleetPolicy {
             *s = r.get_u64()?;
         }
         let cells = n_states * n_actions;
-        if cells > r.remaining() / 8 {
-            return Err(SnapshotError::Truncated);
-        }
         let mut q = Vec::with_capacity(cells);
         for _ in 0..cells {
             q.push(get_finite(&mut r, "non-finite q-value")?);
-        }
-        if cells > r.remaining() / 4 {
-            return Err(SnapshotError::Truncated);
         }
         let mut visits = Vec::with_capacity(cells);
         for _ in 0..cells {

@@ -24,11 +24,7 @@ impl RealizedScenario {
     /// Encodes the realized trace — name, seed, horizon, phase marks
     /// and every arrival — into the versioned binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        for &b in TRACE_MAGIC {
-            w.put_u8(b);
-        }
-        w.put_u16(TRACE_VERSION);
+        let mut w = SnapshotWriter::with_header(TRACE_MAGIC, TRACE_VERSION);
         w.put_str(&self.name);
         w.put_u64(self.seed);
         w.put_f64(self.horizon_s);
@@ -57,24 +53,15 @@ impl RealizedScenario {
     /// magic, a newer version, truncation, non-finite or unsorted
     /// arrival times, or zero-length sessions.
     pub fn from_bytes(bytes: &[u8]) -> Result<RealizedScenario, SnapshotError> {
-        if bytes.len() < TRACE_MAGIC.len() || &bytes[..TRACE_MAGIC.len()] != TRACE_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let mut r = SnapshotReader::new(&bytes[TRACE_MAGIC.len()..]);
-        let version = r.get_u16()?;
-        if version > TRACE_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
+        let (mut r, _) = SnapshotReader::open(bytes, TRACE_MAGIC, TRACE_VERSION)?;
         let name = r.get_str()?;
         let seed = r.get_u64()?;
         let horizon_s = r.get_f64()?;
         if !(horizon_s.is_finite() && horizon_s >= 0.0) {
             return Err(SnapshotError::Corrupt("invalid scenario horizon"));
         }
-        let n_marks = r.get_u32()? as usize;
-        if n_marks > r.remaining() / 12 {
-            return Err(SnapshotError::Truncated);
-        }
+        // A mark is its time plus a label length.
+        let n_marks = r.get_count(8 + 4)?;
         let mut marks = Vec::with_capacity(n_marks);
         for _ in 0..n_marks {
             let t = r.get_f64()?;
@@ -83,12 +70,8 @@ impl RealizedScenario {
             }
             marks.push((t, r.get_str()?));
         }
-        let n_arrivals = r.get_u32()? as usize;
-        // Every arrival costs 34 encoded bytes; a count beyond the
-        // remaining input is a truncation, not an allocation request.
-        if n_arrivals > r.remaining() / 34 {
-            return Err(SnapshotError::Truncated);
-        }
+        // Every arrival costs 34 encoded bytes.
+        let n_arrivals = r.get_count(34)?;
         let mut arrivals: Vec<SessionRequest> = Vec::with_capacity(n_arrivals);
         for _ in 0..n_arrivals {
             let request = SessionRequest {

@@ -86,12 +86,12 @@ pub mod prelude {
     };
     pub use mamut_encoder::{HevcEncoder, Preset};
     pub use mamut_fleet::{
-        AdmissionGated, Autoscaler, CheckpointPolicy, Dispatcher, FaultPlan, FleetConfig, FleetSim,
-        FleetSummary, FleetTrace, ForecastScaler, Forecaster, GateMode, HoltWinters,
-        KnowledgeStore, LeastLoaded, MergePolicy, NodeView, PowerAware, PowerQosBalance,
-        PredictiveScaler, Rebalancer, RoundRobin, SeasonalNaive, SessionClass, ShardConfig,
-        ShardedFleetSim, ShardedFleetSummary, TelemetryEvent, TelemetryMode, ThresholdScaler,
-        TracedEvent, UtilizationBalance, Workload, WorkloadConfig, WorkloadError,
+        AdmissionGated, Autoscaler, CheckpointPolicy, Dispatcher, FaultPlan, FleetConfig,
+        FleetCounters, FleetSim, FleetSummary, FleetTrace, ForecastScaler, Forecaster, GateMode,
+        HoltWinters, KnowledgeStore, LeastLoaded, MergePolicy, NodeView, PowerAware,
+        PowerQosBalance, PredictiveScaler, Rebalancer, RoundRobin, SeasonalNaive, SessionClass,
+        ShardConfig, ShardedFleetSim, ShardedFleetSummary, TelemetryEvent, TelemetryMode,
+        ThresholdScaler, TracedEvent, UtilizationBalance, Workload, WorkloadConfig, WorkloadError,
     };
     pub use mamut_fleetrl::{FleetPolicy, RlDispatch, RlScaler, TrainConfig, Trainer};
     pub use mamut_platform::Platform;

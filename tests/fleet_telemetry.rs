@@ -175,6 +175,24 @@ fn a_chaos_trace_round_trips_and_conserves_events() {
     assert_eq!(trace.count_kind("epoch-begin"), summary.epochs);
     assert_eq!(trace.count_kind("epoch-end"), summary.epochs);
     assert_eq!(trace.len() as u64, summary.trace_events);
+    // Drain moves and rebalance moves both emit `session-attach`; each
+    // `node-retire` says how many of the attaches before it were drains.
+    let drained: u64 = trace
+        .events
+        .iter()
+        .map(|traced| match traced.event {
+            TelemetryEvent::NodeRetire {
+                sessions_drained, ..
+            } => u64::from(sessions_drained),
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(trace.count_kind("node-retire"), summary.scale_downs);
+    assert_eq!(drained, summary.drained_sessions);
+    assert_eq!(
+        trace.count_kind("session-attach") - drained,
+        summary.migrations
+    );
 
     // Lossless codec: decode(encode) == trace, and re-encoding the
     // decoded trace reproduces the exact bytes.
@@ -308,9 +326,9 @@ fn sharded_traces_carry_coordinator_lane_events() {
     assert_eq!(again.trace().encode(), bytes);
 }
 
-/// One representative event per sampled shape, covering every field
-/// type the codec serializes (unsigned, signed, float, bool, strings
-/// with separators and quotes).
+/// One event of each of the 21 [`TelemetryEvent`] variants, picked by
+/// `pick`, covering every field type the codec serializes (unsigned,
+/// signed, float, bool, strings with separators and quotes).
 fn arbitrary_event(pick: u64, a: u64, b: u64, f: f64) -> TelemetryEvent {
     let labels = ["", "crash:n0", "tail, \"quoted\"", "phase=flash_mob"];
     let label = labels[(b % labels.len() as u64) as usize].to_owned();
@@ -319,7 +337,7 @@ fn arbitrary_event(pick: u64, a: u64, b: u64, f: f64) -> TelemetryEvent {
         PolicySource::Greedy,
         PolicySource::Exploratory,
     ];
-    match pick % 12 {
+    match pick % 21 {
         0 => TelemetryEvent::EpochBegin {
             active_nodes: a as u32,
         },
@@ -328,43 +346,138 @@ fn arbitrary_event(pick: u64, a: u64, b: u64, f: f64) -> TelemetryEvent {
             session: a,
             node: b as u32,
         },
-        3 => TelemetryEvent::Autoscale {
+        3 => TelemetryEvent::DispatchQueue { session: a },
+        4 => TelemetryEvent::DispatchReject { session: a },
+        5 => TelemetryEvent::DispatchShed { session: a },
+        6 => TelemetryEvent::Autoscale {
             delta: a as i64 - b as i64,
             source: sources[(a % 3) as usize],
             detail: label,
         },
-        4 => TelemetryEvent::NodeCrash {
+        7 => TelemetryEvent::NodeCommission { node: a as u32 },
+        8 => TelemetryEvent::NodeRetire {
+            node: a as u32,
+            sessions_drained: b as u32,
+        },
+        9 => TelemetryEvent::NodeCrash {
             node: a as u32,
             sessions_lost: b as u32,
         },
-        5 => TelemetryEvent::ThrottleStart {
+        10 => TelemetryEvent::ThrottleStart {
             node: a as u32,
             freq_cap_ghz: f,
             until_epoch: b,
         },
-        6 => TelemetryEvent::SessionRecovered {
+        11 => TelemetryEvent::ThrottleEnd { node: a as u32 },
+        12 => TelemetryEvent::SessionRecovered {
             session: a,
             node: b as u32,
             frames_redone: b,
             from_checkpoint: a.is_multiple_of(2),
         },
-        7 => TelemetryEvent::CheckpointCaptured {
+        13 => TelemetryEvent::CheckpointCaptured {
             sessions: a as u32,
             bytes: b,
         },
-        8 => TelemetryEvent::SessionEnd {
+        14 => TelemetryEvent::SessionDetach {
+            session: a,
+            node: b as u32,
+        },
+        15 => TelemetryEvent::SessionAttach {
+            session: a,
+            node: b as u32,
+        },
+        16 => TelemetryEvent::SessionEnd {
             session: a,
             node: b as u32,
             frames: a.wrapping_mul(3),
         },
-        9 => TelemetryEvent::OverflowMigration {
+        17 => TelemetryEvent::KnowledgeSync { stores: a as u32 },
+        18 => TelemetryEvent::SyncRoundLost,
+        19 => TelemetryEvent::OverflowMigration {
             session: a,
             from_shard: a as u32,
             to_shard: b as u32,
         },
-        10 => TelemetryEvent::KnowledgeSync { stores: a as u32 },
         _ => TelemetryEvent::Mark { label },
     }
+}
+
+#[test]
+fn counters_fold_every_countable_event() {
+    use mamut::fleet::FleetCounters;
+    // One event of each kind (a = 1, b = 2: a greedy shrink by 1, a
+    // two-session drain, 2 frames redone), then a few more decisions
+    // and two rebalance moves.
+    let mut events: Vec<TelemetryEvent> = (0..21).map(|k| arbitrary_event(k, 1, 2, 1.5)).collect();
+    for (delta, source) in [
+        (0, PolicySource::Exploratory),
+        (0, PolicySource::Heuristic),
+        (2, PolicySource::Heuristic),
+    ] {
+        events.push(TelemetryEvent::Autoscale {
+            delta,
+            source,
+            detail: String::new(),
+        });
+    }
+    for session in [7, 8] {
+        events.push(TelemetryEvent::SessionAttach { session, node: 3 });
+    }
+    let mut counters = FleetCounters::default();
+    for event in &events {
+        counters.fold(event);
+    }
+    assert_eq!(
+        counters,
+        FleetCounters {
+            rejected_sessions: 2,
+            shed_sessions: 1,
+            queued_waits: 1,
+            scale_ups: 1,
+            scale_downs: 1,
+            drained_sessions: 2,
+            session_attaches: 3,
+            crashes: 1,
+            throttles: 1,
+            sessions_recovered: 1,
+            frames_redone: 2,
+            checkpoints: 1,
+            greedy_actions: 1,
+            exploratory_actions: 1,
+            heuristic_decisions: 2,
+            learned_scale_events: 1,
+            heuristic_scale_events: 1,
+            inter_shard_migrations: 1,
+            knowledge_syncs: 1,
+            sync_rounds_lost: 1,
+        }
+    );
+    // Drain moves are not rebalance moves.
+    assert_eq!(counters.migrations(), 1);
+}
+
+#[test]
+fn version_one_traces_decode_with_zero_drained_sessions() {
+    use mamut::control::snapshot::SnapshotWriter;
+    // A v1 `node-retire` carried only the node id.
+    let mut w = SnapshotWriter::with_header(TRACE_MAGIC, 1);
+    w.put_f64(1.0); // epoch_s
+    w.put_u64(0); // dropped epochs
+    w.put_u32(1); // one event
+    w.put_u64(3); // epoch
+    w.put_u64(3_000_000); // at_us
+    w.put_u32(0); // shard
+    w.put_u8(8); // node-retire
+    w.put_u32(4); // node
+    let trace = FleetTrace::decode(&w.into_bytes()).expect("a v1 trace decodes");
+    assert_eq!(
+        trace.events[0].event,
+        TelemetryEvent::NodeRetire {
+            node: 4,
+            sessions_drained: 0,
+        }
+    );
 }
 
 fn splitmix64(state: &mut u64) -> u64 {

@@ -182,3 +182,171 @@ fn decode_rejects_garbage_and_wrong_versions() {
     ));
     assert!(PolicySnapshot::from_bytes(&good).is_ok());
 }
+
+/// One encoded stream of each of the seven framed formats, with its
+/// decoder (errors only; the decoded value is not needed here).
+type Decoder = Box<dyn Fn(&[u8]) -> Result<(), SnapshotError>>;
+
+fn framed_formats() -> Vec<(&'static str, Vec<u8>, Decoder)> {
+    use mamut::fleet::{
+        CheckpointBundle, Forecaster, HoltWinters, KnowledgeStore, MergePolicy, NodeCheckpoint,
+        SessionCheckpoint, SessionClass, SessionRequest,
+    };
+    let policy = PolicySnapshot {
+        controller: "mamut".into(),
+        knobs: KnobSettings::new(32, 4, 2.6),
+        exploration_decisions: 3,
+        exploitation_decisions: 5,
+        agents: vec![synth_agent(7, 3, 2, 4)],
+        extra: vec![1, 2],
+    };
+    let mut store = KnowledgeStore::new(MergePolicy::VisitWeighted);
+    store.publish(SessionClass::Hr, &policy.clone().into_knowledge());
+    let mut forecaster = HoltWinters::new(3);
+    for arrivals in [4, 9, 2, 7, 5] {
+        forecaster.observe(arrivals, 1.0);
+    }
+    let request = |id: u64| SessionRequest {
+        id,
+        arrival_s: id as f64,
+        hr: id.is_multiple_of(2),
+        live: false,
+        frames: 100,
+        seed: id,
+    };
+    let scenario = RealizedScenario {
+        name: "steady".into(),
+        seed: 3,
+        horizon_s: 10.0,
+        arrivals: vec![request(1), request(2)],
+        marks: vec![(0.0, "steady".into())],
+    };
+    let fleet_policy = FleetPolicy::new(4, 11);
+    let bundle = CheckpointBundle {
+        epoch: 6,
+        nodes: vec![NodeCheckpoint {
+            node: 1,
+            sessions: vec![SessionCheckpoint {
+                request: request(4),
+                frames_completed: 20,
+                bytes: vec![7, 7, 7],
+            }],
+        }],
+        knowledge: Some(vec![1]),
+    };
+    let trace = FleetTrace {
+        epoch_s: 2.0,
+        dropped_epochs: 0,
+        events: vec![TracedEvent {
+            epoch: 0,
+            at_us: 0,
+            shard: 0,
+            event: TelemetryEvent::NodeRetire {
+                node: 2,
+                sessions_drained: 1,
+            },
+        }],
+    };
+    vec![
+        (
+            "MAMUTPS",
+            policy.to_bytes(),
+            Box::new(|b: &[u8]| PolicySnapshot::from_bytes(b).map(drop)),
+        ),
+        (
+            "MAMUTKS",
+            store.snapshot(),
+            Box::new(|b: &[u8]| KnowledgeStore::restore(b).map(drop)),
+        ),
+        (
+            "MAMUTFC",
+            forecaster.snapshot_state(),
+            Box::new(|b: &[u8]| HoltWinters::new(3).restore_state(b)),
+        ),
+        (
+            "MAMUTSC",
+            scenario.to_bytes(),
+            Box::new(|b: &[u8]| RealizedScenario::from_bytes(b).map(drop)),
+        ),
+        (
+            "MAMUTFP",
+            fleet_policy.snapshot_state(),
+            Box::new(|b: &[u8]| FleetPolicy::new(4, 0).restore_state(b)),
+        ),
+        (
+            "MAMUTCK",
+            bundle.encode(),
+            Box::new(|b: &[u8]| CheckpointBundle::decode(b).map(drop)),
+        ),
+        (
+            "MAMUTTL",
+            trace.encode(),
+            Box::new(|b: &[u8]| FleetTrace::decode(b).map(drop)),
+        ),
+    ]
+}
+
+#[test]
+fn every_framed_format_rejects_bad_frames_alike() {
+    for (name, bytes, decode) in framed_formats() {
+        assert_eq!(&bytes[..7], name.as_bytes(), "{name}: magic");
+        assert_eq!(decode(&bytes), Ok(()), "{name}: the good stream decodes");
+
+        let mut wrong_magic = bytes.clone();
+        wrong_magic[0] = b'X';
+        assert_eq!(decode(&wrong_magic), Err(SnapshotError::BadMagic), "{name}");
+
+        let version = u16::from_le_bytes([bytes[8], bytes[9]]);
+        let mut newer = bytes.clone();
+        newer[8..10].copy_from_slice(&(version + 1).to_le_bytes());
+        assert_eq!(
+            decode(&newer),
+            Err(SnapshotError::UnsupportedVersion(version + 1)),
+            "{name}"
+        );
+
+        for cut in 0..bytes.len() {
+            let result = decode(&bytes[..cut]);
+            if cut < 8 {
+                // A prefix of the magic is not the magic.
+                assert_eq!(result, Err(SnapshotError::BadMagic), "{name}: {cut} bytes");
+            } else {
+                assert!(result.is_err(), "{name}: {cut}-byte prefix decoded");
+            }
+        }
+
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(decode(&longer).is_err(), "{name}: trailing byte accepted");
+    }
+}
+
+#[test]
+fn a_crafted_checkpoint_count_is_truncation_not_an_allocation() {
+    use mamut::fleet::{CheckpointBundle, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+    let header = |counts: &[u32]| {
+        let mut bytes = CHECKPOINT_MAGIC.to_vec();
+        bytes.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&12u64.to_le_bytes()); // epoch
+        for (i, &count) in counts.iter().enumerate() {
+            if i > 0 {
+                bytes.extend_from_slice(&0u64.to_le_bytes()); // node id
+            }
+            bytes.extend_from_slice(&count.to_le_bytes());
+        }
+        bytes
+    };
+    // Magic, version, epoch, then `n_nodes = u32::MAX`: 22 bytes that
+    // once asked `Vec::with_capacity` for ~137 GB and aborted.
+    let bytes = header(&[u32::MAX]);
+    assert_eq!(bytes.len(), 22);
+    assert_eq!(
+        CheckpointBundle::decode(&bytes),
+        Err(SnapshotError::Truncated)
+    );
+    // The same guard holds one level down, at a node's session count.
+    assert_eq!(
+        CheckpointBundle::decode(&header(&[1, u32::MAX])),
+        Err(SnapshotError::Truncated)
+    );
+}
